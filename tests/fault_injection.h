@@ -24,6 +24,7 @@
 #include <string>
 
 #include "core/clock.h"
+#include "core/crc32c.h"
 #include "core/file_io.h"
 #include "core/index.h"
 #include "core/status.h"
@@ -113,6 +114,22 @@ inline std::string FlipBit(const std::string& bytes, size_t bit_index) {
   std::string out = bytes;
   out[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
   return out;
+}
+
+/// Overwrites the little-endian u32 at `offset` — how tests forge header
+/// fields (versions, counts) in an otherwise valid file.
+inline void PatchU32(std::string* bytes, size_t offset, uint32_t value) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*bytes)[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+/// Re-stamps the u32 CRC32C stored at `crc_offset` so it covers
+/// bytes[begin, crc_offset) again — lets a forged field get past the CRC
+/// gate and reach structural validation.
+inline void ResealCrc(std::string* bytes, size_t begin, size_t crc_offset) {
+  PatchU32(bytes, crc_offset,
+           Crc32c(bytes->data() + begin, crc_offset - begin));
 }
 
 /// One-shot gate for deterministic worker stalls: threads block in Wait()
