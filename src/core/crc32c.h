@@ -1,7 +1,7 @@
 // CRC32C (Castagnoli polynomial, the checksum of iSCSI/ext4/RocksDB):
 // software table-driven implementation used to protect every section of the
-// on-disk graph index format (docs/PERSISTENCE.md). No hardware intrinsics
-// so the format is verifiable on any build target.
+// on-disk formats (core/binary_format.h, docs/PERSISTENCE.md). No hardware
+// intrinsics so the format is verifiable on any build target.
 #ifndef WEAVESS_CORE_CRC32C_H_
 #define WEAVESS_CORE_CRC32C_H_
 

@@ -1,6 +1,7 @@
 // Versioned, checksummed on-disk format for SQ8 quantized codes, the
-// sibling of the WVSGRPH1 graph format (core/graph_io.h). Full layout in
-// docs/QUANTIZATION.md; in brief (everything little-endian):
+// sibling of the WVSGRPH1 graph format (core/graph_io.h), on the framing of
+// core/binary_format.h. Full schema in docs/PERSISTENCE.md; in brief
+// (everything little-endian):
 //
 //   [ 0..8)   magic "WVSSQNT1"
 //   [ 8..12)  u32 format version (currently 1)
@@ -25,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/binary_format.h"
 #include "core/file_io.h"
 #include "core/status.h"
 #include "quant/sq8.h"
@@ -61,30 +63,19 @@ StatusOr<QuantizedDataset> LoadQuantizedFromReader(Reader& reader);
 Status SaveQuantized(const QuantizedDataset& codes, const std::string& path);
 StatusOr<QuantizedDataset> LoadQuantized(const std::string& path);
 
-/// Per-section verification result for `weavess_cli verify`, mirroring
-/// GraphSectionReport.
-struct QuantSectionReport {
-  std::string name;  // "header", "mins", "scales", "codes"
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  uint32_t stored_crc = 0;
-  uint32_t computed_crc = 0;
-  bool ok = false;
-};
-
 struct QuantFileReport {
   Status status;  // overall verdict (OK only if every check passed)
   uint32_t version = 0;
   uint32_t num = 0;
   uint32_t dim = 0;
   uint32_t code_stride = 0;
-  std::vector<QuantSectionReport> sections;
+  /// "header", "mins", "scales", "codes".
+  std::vector<SectionReport> sections;
 };
 
 /// Checks magic/version/CRCs without materializing the codes; reports every
 /// section it could locate even when earlier ones fail.
 QuantFileReport VerifyQuantizedBytes(std::string_view bytes);
-QuantFileReport VerifyQuantizedFile(const std::string& path);
 
 }  // namespace weavess
 

@@ -2,8 +2,8 @@
 // sharded index. The manifest records how the dataset was partitioned, how
 // each shard was built (enough to rebuild any shard bit-for-bit — the
 // RepairShard contract), and which per-shard graph file (core/graph_io.h
-// format) holds each shard's adjacency. Full layout in docs/SHARDING.md;
-// in brief (everything little-endian, format family of core/graph_io.h):
+// format) holds each shard's adjacency. Framing of core/binary_format.h;
+// full schema in docs/PERSISTENCE.md, in brief (everything little-endian):
 //
 //   [ 0..8)   magic "WVSSHRD1"
 //   [ 8..12)  u32 format version (currently 2)

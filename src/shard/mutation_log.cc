@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "core/binary_format.h"
 #include "core/check.h"
 #include "core/crc32c.h"
 #include "core/file_io.h"
@@ -11,123 +12,103 @@ namespace weavess {
 
 namespace {
 
-// Explicit little-endian encoding, same convention as core/graph_io.cc.
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xFF);
-  bytes[1] = static_cast<char>((v >> 8) & 0xFF);
-  bytes[2] = static_cast<char>((v >> 16) & 0xFF);
-  bytes[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(bytes, 4);
-}
+constexpr Prologue kWalPrologue{
+    .magic = {kWalMagic, sizeof(kWalMagic)},
+    .name = "mutation log",
+    .bytes = kWalHeaderBytes,
+    .min_version = kWalFormatVersion,
+    .max_version = kWalFormatVersion};
 
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
+// The whole generation manifest is its prologue: one CRC covers it all.
+constexpr Prologue kGenPrologue{
+    .magic = {kGenManifestMagic, sizeof(kGenManifestMagic)},
+    .name = "generation manifest",
+    .bytes = kGenManifestBytes,
+    .min_version = kGenManifestVersion,
+    .max_version = kGenManifestVersion};
 
-uint32_t GetU32(std::string_view bytes, size_t offset) {
-  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data() + offset);
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(std::string_view bytes, size_t offset) {
-  return static_cast<uint64_t>(GetU32(bytes, offset)) |
-         static_cast<uint64_t>(GetU32(bytes, offset + 4)) << 32;
-}
-
-/// Parses one frame payload into `record`. False = structurally invalid
-/// (unknown kind or size mismatch) — treated exactly like a CRC failure:
-/// the log ends here.
-bool ParsePayload(std::string_view payload, uint32_t dim,
-                  MutationRecord* record) {
-  if (payload.empty()) return false;
-  const auto kind = static_cast<MutationKind>(
-      static_cast<uint8_t>(payload[0]));
-  record->kind = kind;
-  switch (kind) {
+/// Parses one frame payload into `record`. Any error (unknown kind, size
+/// mismatch) is treated exactly like a CRC failure: the log ends here.
+Status ParsePayload(std::string_view payload, uint32_t dim,
+                    MutationRecord* record) {
+  ByteCursor cursor(payload, 0, "mutation record");
+  uint8_t kind = 0;
+  WEAVESS_RETURN_IF_ERROR(cursor.ReadU8("kind", &kind));
+  record->kind = static_cast<MutationKind>(kind);
+  switch (record->kind) {
     case MutationKind::kAdd: {
-      const size_t expected = 1 + 4 + static_cast<size_t>(dim) * 4;
-      if (payload.size() != expected) return false;
-      record->id = GetU32(payload, 1);
+      WEAVESS_RETURN_IF_ERROR(cursor.ReadU32("id", &record->id));
+      std::string_view vector;
+      WEAVESS_RETURN_IF_ERROR(
+          cursor.ReadBytes(size_t{dim} * 4, "vector", &vector));
       record->vector.resize(dim);
-      std::memcpy(record->vector.data(), payload.data() + 5,
-                  static_cast<size_t>(dim) * 4);
-      return true;
+      std::memcpy(record->vector.data(), vector.data(), vector.size());
+      break;
     }
     case MutationKind::kRemove:
     case MutationKind::kCompact:
-      if (payload.size() != 1 + 4) return false;
-      record->id = GetU32(payload, 1);
-      return true;
+      WEAVESS_RETURN_IF_ERROR(cursor.ReadU32("id", &record->id));
+      break;
     case MutationKind::kCommit:
-      if (payload.size() != 1 + 8 + 4) return false;
-      record->generation = GetU64(payload, 1);
-      record->next_id = GetU32(payload, 9);
-      return true;
+      WEAVESS_RETURN_IF_ERROR(
+          cursor.ReadU64("generation", &record->generation));
+      WEAVESS_RETURN_IF_ERROR(cursor.ReadU32("next id", &record->next_id));
+      break;
+    default:
+      return Status::Corruption("unknown mutation kind " +
+                                std::to_string(kind));
   }
-  return false;
+  return cursor.ExpectEnd();
 }
 
 }  // namespace
 
 std::string SerializeWalHeader(uint32_t dim) {
-  std::string out;
-  out.reserve(kWalHeaderBytes);
-  out.append(kWalMagic, sizeof(kWalMagic));
-  PutU32(&out, kWalFormatVersion);
-  PutU32(&out, dim);
-  PutU32(&out, Crc32c(out.data(), out.size()));
-  return out;
+  SectionWriter out;
+  out.PutBytes(kWalPrologue.magic);
+  out.PutU32(kWalFormatVersion);
+  out.PutU32(dim);
+  out.EndSection();
+  return std::move(out).Take();
 }
 
 std::string SerializeWalRecord(const MutationRecord& record) {
-  std::string payload;
-  payload.push_back(static_cast<char>(record.kind));
+  SectionWriter payload;
+  payload.PutU8(static_cast<uint8_t>(record.kind));
   switch (record.kind) {
     case MutationKind::kAdd:
-      PutU32(&payload, record.id);
-      for (float v : record.vector) {
-        uint32_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        PutU32(&payload, bits);
-      }
+      payload.PutU32(record.id);
+      for (float v : record.vector) payload.PutF32(v);
       break;
     case MutationKind::kRemove:
     case MutationKind::kCompact:
-      PutU32(&payload, record.id);
+      payload.PutU32(record.id);
       break;
     case MutationKind::kCommit:
-      PutU64(&payload, record.generation);
-      PutU32(&payload, record.next_id);
+      payload.PutU64(record.generation);
+      payload.PutU32(record.next_id);
       break;
   }
-  WEAVESS_CHECK(payload.size() <= kMaxWalPayloadBytes);
-  std::string out;
-  out.reserve(kWalFrameBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, Crc32c(payload.data(), payload.size()));
-  out.append(payload);
-  return out;
+  const std::string& bytes = payload.bytes();
+  WEAVESS_CHECK(bytes.size() <= kMaxWalPayloadBytes);
+  SectionWriter frame;
+  frame.Reserve(kWalFrameBytes + bytes.size());
+  frame.PutU32(static_cast<uint32_t>(bytes.size()));
+  frame.PutU32(Crc32c(bytes.data(), bytes.size()));
+  frame.PutBytes(bytes);
+  return std::move(frame).Take();
 }
 
 StatusOr<WalReplay> ReplayMutationLog(std::string_view bytes, uint32_t dim) {
   WalReplay replay;
   // A short or torn header means nothing was ever committed: recover to
-  // the empty state (the caller rewrites a fresh header).
-  if (bytes.size() < kWalHeaderBytes ||
-      std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0 ||
-      GetU32(bytes, kWalHeaderBytes - 4) !=
-          Crc32c(bytes.data(), kWalHeaderBytes - 4)) {
+  // the empty state (the caller rewrites a fresh header). Only a readable
+  // header of another version is an error.
+  const StatusOr<uint32_t> version = CheckPrologue(bytes, kWalPrologue);
+  if (!version.ok()) {
+    if (version.status().IsNotSupported()) return version.status();
     replay.truncated_tail = !bytes.empty();
     return replay;
-  }
-  const uint32_t version = GetU32(bytes, 8);
-  if (version != kWalFormatVersion) {
-    return Status::NotSupported(
-        "mutation log format version " + std::to_string(version) +
-        "; this build reads version " + std::to_string(kWalFormatVersion));
   }
   const uint32_t stored_dim = GetU32(bytes, 12);
   if (stored_dim != dim) {
@@ -152,7 +133,7 @@ StatusOr<WalReplay> ReplayMutationLog(std::string_view bytes, uint32_t dim) {
       break;
     }
     MutationRecord record;
-    if (!ParsePayload(payload, dim, &record)) break;
+    if (!ParsePayload(payload, dim, &record).ok()) break;
     pos += kWalFrameBytes + payload_len;
     replay.valid_bytes = pos;
     const bool is_commit = record.kind == MutationKind::kCommit;
@@ -176,41 +157,25 @@ StatusOr<WalReplay> ReplayMutationLog(std::string_view bytes, uint32_t dim) {
 // ------------------------------------------------- generation manifest
 
 std::string SerializeGenerationManifest(const GenerationManifest& manifest) {
-  std::string out;
-  out.reserve(kGenManifestBytes);
-  out.append(kGenManifestMagic, sizeof(kGenManifestMagic));
-  PutU32(&out, kGenManifestVersion);
-  PutU32(&out, manifest.dim);
-  PutU32(&out, manifest.num_shards);
-  PutU64(&out, manifest.generation);
-  PutU32(&out, manifest.next_id);
-  PutU64(&out, manifest.seed);
-  PutU32(&out, Crc32c(out.data(), out.size()));
-  WEAVESS_CHECK(out.size() == kGenManifestBytes);
-  return out;
+  SectionWriter out;
+  out.PutBytes(kGenPrologue.magic);
+  out.PutU32(kGenManifestVersion);
+  out.PutU32(manifest.dim);
+  out.PutU32(manifest.num_shards);
+  out.PutU64(manifest.generation);
+  out.PutU32(manifest.next_id);
+  out.PutU64(manifest.seed);
+  out.EndSection();
+  return std::move(out).Take();
 }
 
 StatusOr<GenerationManifest> DeserializeGenerationManifest(
     std::string_view bytes) {
+  WEAVESS_RETURN_IF_ERROR(CheckPrologue(bytes, kGenPrologue).status());
   if (bytes.size() != kGenManifestBytes) {
-    return Status::Corruption(
-        "generation manifest is " + std::to_string(bytes.size()) +
-        " bytes, expected " + std::to_string(kGenManifestBytes));
-  }
-  if (std::memcmp(bytes.data(), kGenManifestMagic,
-                  sizeof(kGenManifestMagic)) != 0) {
-    return Status::Corruption(
-        "bad magic (not a weavess generation manifest)");
-  }
-  if (GetU32(bytes, kGenManifestBytes - 4) !=
-      Crc32c(bytes.data(), kGenManifestBytes - 4)) {
-    return Status::Corruption("generation manifest CRC mismatch");
-  }
-  const uint32_t version = GetU32(bytes, 8);
-  if (version != kGenManifestVersion) {
-    return Status::NotSupported(
-        "generation manifest version " + std::to_string(version) +
-        "; this build reads version " + std::to_string(kGenManifestVersion));
+    return CorruptionAt(kGenManifestBytes,
+                        std::to_string(bytes.size() - kGenManifestBytes) +
+                            " trailing bytes after the generation manifest");
   }
   GenerationManifest manifest;
   manifest.dim = GetU32(bytes, 12);

@@ -6,7 +6,8 @@
 // back to the last commit — so a process killed anywhere restores a
 // consistent generation, never a half-applied batch.
 //
-// File layout (everything little-endian, format family of core/graph_io.h):
+// File layout (everything little-endian, framing of core/binary_format.h;
+// full schema in docs/PERSISTENCE.md):
 //
 //   [ 0.. 8)  magic "WVSSWAL1"
 //   [ 8..12)  u32 format version (currently 1)

@@ -55,8 +55,8 @@ run_cli(0 build --base ${prefix}.base.fvecs --algo KGraph --save ${graph})
 run_cli(0 verify --graph ${graph})
 # A header-sized file without the format magic must be reported as
 # corruption (exit 3), not as an I/O or usage error. (Byte-flip CRC cases
-# are covered in C++ by persistence_test; CMake strings cannot hold the
-# NUL bytes a binary rewrite would need.)
+# are covered in C++ by format_corruption_test; CMake strings cannot hold
+# the NUL bytes a binary rewrite would need.)
 set(bad "${WORKDIR}/bad_magic.wvs")
 file(WRITE "${bad}" "this is not a weavess graph file, padded well past ")
 file(APPEND "${bad}" "the 32-byte header so only the magic check can fail")

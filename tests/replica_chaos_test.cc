@@ -664,24 +664,6 @@ TEST(ReplicaManifestTest, RoundTripPreservesEntries) {
   EXPECT_EQ(loaded->replicas[1].file_crc32c, 42u);
 }
 
-TEST(ReplicaManifestTest, EveryFlippedBitIsCaught) {
-  ReplicaManifest manifest;
-  manifest.replicas.push_back({"r0.wvs", ReplicaManifest::Kind::kGraph, 1});
-  manifest.replicas.push_back({"r1.wvs", ReplicaManifest::Kind::kGraph, 2});
-  const std::string bytes = SerializeReplicaManifest(manifest);
-  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
-    const StatusOr<ReplicaManifest> corrupted =
-        DeserializeReplicaManifest(FlipBit(bytes, bit));
-    EXPECT_FALSE(corrupted.ok()) << "flipped bit " << bit << " not caught";
-  }
-  // Truncations are caught too.
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(
-        DeserializeReplicaManifest(bytes.substr(0, len)).ok())
-        << "truncation to " << len << " bytes not caught";
-  }
-}
-
 // --------------------------- scenario (d): thread-count-invariant traces
 
 // Everything observable about one routed outcome.

@@ -93,9 +93,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algorithms/registry.h"
+#include "core/binary_format.h"
+#include "core/crc32c.h"
 #include "core/file_io.h"
 #include "core/graph_io.h"
 #include "core/metrics.h"
@@ -785,18 +788,64 @@ int CmdEval(const Args& args) {
   return kExitOk;
 }
 
+/// Prints the per-section CRC table of a sectioned file (graph or codes).
+void PrintSections(const std::vector<SectionReport>& sections) {
+  if (sections.empty()) return;
+  std::printf("  %-10s %10s %12s %12s %12s  %s\n", "section", "offset",
+              "bytes", "stored", "computed", "status");
+  for (const SectionReport& section : sections) {
+    std::printf("  %-10s %10llu %12llu   0x%08x   0x%08x  %s\n",
+                section.name.c_str(),
+                static_cast<unsigned long long>(section.offset),
+                static_cast<unsigned long long>(section.length),
+                section.stored_crc, section.computed_crc,
+                section.ok ? "OK" : "CRC MISMATCH");
+  }
+}
+
+/// Verifies a saved graph: every section is reported even after a failure.
+int VerifyGraph(const std::string& path, std::string_view bytes) {
+  std::printf("verify %s\n", path.c_str());
+  const GraphFileReport report = VerifyGraphBytes(bytes);
+  PrintSections(report.sections);
+  if (!report.status.ok()) return Fail(report.status);
+  std::printf("  format v%u, %u vertices, %llu edges", report.version,
+              report.num_vertices,
+              static_cast<unsigned long long>(report.num_edges));
+  if (!report.metadata.empty()) {
+    std::printf(", metadata \"%s\"", report.metadata.c_str());
+  }
+  std::printf("\n  all sections OK\n");
+  return kExitOk;
+}
+
+/// Verifies a WVSSQNT1 quantized-codes file: header CRC plus the mins /
+/// scales / codes section CRCs, with the same table as a graph file.
+int VerifyQuantized(const std::string& path, std::string_view bytes) {
+  std::printf("verify %s (SQ8 quantized codes)\n", path.c_str());
+  const QuantFileReport report = VerifyQuantizedBytes(bytes);
+  PrintSections(report.sections);
+  if (!report.status.ok()) return Fail(report.status);
+  std::printf("  format v%u, %u x %u codes (stride %u)\n"
+              "  all sections OK\n",
+              report.version, report.num, report.dim, report.code_stride);
+  return kExitOk;
+}
+
 /// Verifies a shard manifest and every shard graph file it references. All
 /// shards are checked even after a failure — an operator wants the full
 /// damage report — and the first failure decides the exit code.
-int VerifyManifest(const char* manifest_path) {
-  std::printf("verify %s (shard manifest)\n", manifest_path);
-  StatusOr<ShardManifest> manifest_or = LoadManifest(manifest_path);
+int VerifyManifest(const std::string& manifest_path, std::string_view bytes) {
+  std::printf("verify %s (shard manifest)\n", manifest_path.c_str());
+  StatusOr<ShardManifest> manifest_or = DeserializeManifest(bytes);
   if (!manifest_or.ok()) return Fail(manifest_or.status());
   const ShardManifest& manifest = *manifest_or;
+  // The version field after the magic; in bounds once the manifest parsed.
+  const uint32_t version = GetU32(bytes, sizeof(kManifestMagic));
   std::printf(
       "  format v%u, algorithm %s, partitioner %s, %u vertices over %zu "
       "shard(s)\n  manifest OK\n",
-      kManifestFormatVersion, manifest.algorithm.c_str(),
+      version, manifest.algorithm.c_str(),
       manifest.partitioner.c_str(), manifest.total_vertices,
       manifest.shards.size());
   Status worst;
@@ -831,12 +880,14 @@ int VerifyManifest(const char* manifest_path) {
 
 /// Verifies a WVSSREPL1 replica-set manifest: its own header/body CRCs,
 /// then every replica's recorded file CRC32C against the bytes on disk,
-/// then each replica file by its own kind — a graph file's section CRCs or
-/// a shard manifest's full recursive check. Every replica is checked even
-/// after a failure, and the first failure decides the exit code.
-int VerifyReplicaManifest(const char* manifest_path) {
-  std::printf("verify %s (replica-set manifest)\n", manifest_path);
-  StatusOr<ReplicaManifest> manifest_or = LoadReplicaManifest(manifest_path);
+/// then each replica file by its recorded kind — a graph file's section
+/// CRCs or a shard manifest's full recursive check. Every replica is
+/// checked even after a failure, and the first failure decides the exit
+/// code.
+int VerifyReplicaManifest(const std::string& manifest_path,
+                          std::string_view bytes) {
+  std::printf("verify %s (replica-set manifest)\n", manifest_path.c_str());
+  StatusOr<ReplicaManifest> manifest_or = DeserializeReplicaManifest(bytes);
   if (!manifest_or.ok()) return Fail(manifest_or.status());
   const ReplicaManifest& manifest = *manifest_or;
   std::printf("  format v%u, %zu replica(s)\n  manifest OK\n",
@@ -845,41 +896,30 @@ int VerifyReplicaManifest(const char* manifest_path) {
   for (uint32_t r = 0; r < manifest.replicas.size(); ++r) {
     const ReplicaManifest::Entry& entry = manifest.replicas[r];
     const std::string path = ResolveShardPath(manifest_path, entry.path);
-    const char* kind = entry.kind == ReplicaManifest::Kind::kShardManifest
-                           ? "shard manifest"
-                           : "graph";
-    StatusOr<uint32_t> crc = FileCrc32c(path);
-    Status status = crc.status();
-    if (status.ok() && *crc != entry.file_crc32c) {
-      char detail[96];
-      std::snprintf(detail, sizeof(detail),
-                    "file CRC32C 0x%08x does not match recorded 0x%08x",
-                    *crc, entry.file_crc32c);
-      status = Status::Corruption(detail);
-    }
-    if (!status.ok()) {
+    const bool is_manifest =
+        entry.kind == ReplicaManifest::Kind::kShardManifest;
+    const char* kind = is_manifest ? "shard manifest" : "graph";
+    std::string replica_bytes;
+    if (Status read = ReadFileToString(path, &replica_bytes); !read.ok()) {
       std::printf("  replica %u %s (%s): %s\n", r, path.c_str(), kind,
-                  status.ToString().c_str());
-      if (worst == kExitOk) worst = ExitCodeFor(status);
-      // Still descend: the per-kind check reports *where* the rot is.
+                  read.ToString().c_str());
+      if (worst == kExitOk) worst = ExitCodeFor(read);
+      continue;
+    }
+    const uint32_t crc = Crc32c(replica_bytes.data(), replica_bytes.size());
+    if (crc != entry.file_crc32c) {
+      std::printf(
+          "  replica %u %s (%s): file CRC32C 0x%08x does not match "
+          "recorded 0x%08x\n",
+          r, path.c_str(), kind, crc, entry.file_crc32c);
+      if (worst == kExitOk) worst = kExitCorruption;
     } else {
       std::printf("  replica %u %s (%s): CRC32C 0x%08x OK\n", r,
-                  path.c_str(), kind, entry.file_crc32c);
+                  path.c_str(), kind, crc);
     }
-    const int kind_exit = entry.kind == ReplicaManifest::Kind::kShardManifest
-                              ? VerifyManifest(path.c_str())
-                              : [&] {
-                                  const GraphFileReport report =
-                                      VerifyGraphFile(path);
-                                  std::printf(
-                                      "  replica %u graph file: %s\n", r,
-                                      report.status.ok()
-                                          ? "all sections OK"
-                                          : report.status.ToString().c_str());
-                                  return report.status.ok()
-                                             ? kExitOk
-                                             : ExitCodeFor(report.status);
-                                }();
+    // Descend either way: the per-kind check reports *where* the rot is.
+    const int kind_exit = is_manifest ? VerifyManifest(path, replica_bytes)
+                                      : VerifyGraph(path, replica_bytes);
     if (worst == kExitOk) worst = kind_exit;
   }
   if (worst == kExitOk) {
@@ -888,73 +928,24 @@ int VerifyReplicaManifest(const char* manifest_path) {
   return worst;
 }
 
-/// Verifies a WVSSQNT1 quantized-codes file: header CRC plus the mins /
-/// scales / codes section CRCs, with the same per-section table as a graph
-/// file. All sections are reported even after a failure.
-int VerifyQuantized(const char* path) {
-  std::printf("verify %s (SQ8 quantized codes)\n", path);
-  const QuantFileReport report = VerifyQuantizedFile(path);
-  if (!report.sections.empty()) {
-    std::printf("  %-10s %10s %12s %12s %12s  %s\n", "section", "offset",
-                "bytes", "stored", "computed", "status");
-    for (const QuantSectionReport& section : report.sections) {
-      std::printf("  %-10s %10llu %12llu   0x%08x   0x%08x  %s\n",
-                  section.name.c_str(),
-                  static_cast<unsigned long long>(section.offset),
-                  static_cast<unsigned long long>(section.length),
-                  section.stored_crc, section.computed_crc,
-                  section.ok ? "OK" : "CRC MISMATCH");
-    }
-  }
-  if (report.status.ok()) {
-    std::printf("  format v%u, %u x %u codes (stride %u)\n"
-                "  all sections OK\n",
-                report.version, report.num, report.dim, report.code_stride);
-    return kExitOk;
-  }
-  return Fail(report.status);
-}
-
 int CmdVerify(const Args& args) {
   const char* graph_path = args.Get("graph");
   if (graph_path == nullptr) {
     std::fprintf(stderr, "verify: --graph FILE is required\n");
     return kExitUsage;
   }
-  // A manifest and a graph file share the format family but not the magic;
-  // sniff the first bytes so `verify` works on either without a mode flag.
-  std::string head;
-  if (Status s = ReadFileToString(graph_path, &head); !s.ok()) {
+  // Every format opens with its own magic; sniff it so `verify` works on
+  // any of them without a mode flag, then verify the bytes already read.
+  std::string bytes;
+  if (Status s = ReadFileToString(graph_path, &bytes); !s.ok()) {
     return Fail(s);
   }
-  if (IsReplicaManifestBytes(head)) return VerifyReplicaManifest(graph_path);
-  if (IsManifestBytes(head)) return VerifyManifest(graph_path);
-  if (IsQuantizedBytes(head)) return VerifyQuantized(graph_path);
-  const GraphFileReport report = VerifyGraphFile(graph_path);
-  std::printf("verify %s\n", graph_path);
-  if (!report.sections.empty()) {
-    std::printf("  %-10s %10s %12s %12s %12s  %s\n", "section", "offset",
-                "bytes", "stored", "computed", "status");
-    for (const GraphSectionReport& section : report.sections) {
-      std::printf("  %-10s %10llu %12llu   0x%08x   0x%08x  %s\n",
-                  section.name.c_str(),
-                  static_cast<unsigned long long>(section.offset),
-                  static_cast<unsigned long long>(section.length),
-                  section.stored_crc, section.computed_crc,
-                  section.ok ? "OK" : "CRC MISMATCH");
-    }
+  if (IsReplicaManifestBytes(bytes)) {
+    return VerifyReplicaManifest(graph_path, bytes);
   }
-  if (report.status.ok()) {
-    std::printf("  format v%u, %u vertices, %llu edges", report.version,
-                report.num_vertices,
-                static_cast<unsigned long long>(report.num_edges));
-    if (!report.metadata.empty()) {
-      std::printf(", metadata \"%s\"", report.metadata.c_str());
-    }
-    std::printf("\n  all sections OK\n");
-    return kExitOk;
-  }
-  return Fail(report.status);
+  if (IsManifestBytes(bytes)) return VerifyManifest(graph_path, bytes);
+  if (IsQuantizedBytes(bytes)) return VerifyQuantized(graph_path, bytes);
+  return VerifyGraph(graph_path, bytes);
 }
 
 }  // namespace
